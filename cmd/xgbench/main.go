@@ -6,44 +6,16 @@
 //	xgbench -full            # paper-scale (32k vocab, larger workloads)
 //	xgbench -exp fig9,tab3   # run a subset
 //	xgbench -markdown        # emit EXPERIMENTS.md-style markdown
-//	xgbench -json BENCH.json # also write machine-readable serving results
 //
-// Experiment ids: fig9 fig10 fig11 fig12 tab1 tab2 tab3 tab4 stats par
-// serve spec store tags backend obs prefix. The par experiment reports the parallel
-// mask-cache build speedup over the serial preprocessing scan; serve
-// benchmarks the continuous-batching serving runtime (pooled sessions,
-// overlapped batch mask fill); spec benchmarks speculative draft-verify
-// decoding on the rollback window (decode-step reduction versus the
-// non-speculative baseline, with a byte-identical output check); store
-// measures a cold grammar compile against a warm load-from-disk (the
-// xgserve restart path); tags benchmarks structural-tag dispatch (tool
-// calling) with per-phase throughput and fill percentiles for free text
-// versus in-segment decoding; backend compares the in-process simulated
-// sampler with the httpllm HTTP adapter looped back onto an identical
-// sampler (byte-identity across the wire, transport latency priced); obs
-// prices the request-lifecycle tracer (gateway with tracing off vs on,
-// interleaved passes) so observability provably stays under 2% overhead;
-// prefix benchmarks the cross-request constraint-state prefix cache on a
-// templated workload (cold byte replay vs warm checkpoint restore, with a
-// per-step mask byte-identity check).
-//
-// With -json, the serving, spec, store, tags, backend, obs, and prefix benchmarks'
-// machine-readable records (experiment, tokens/s, p50/p99 fill latency,
-// batch dynamics, cold/warm latency, per-phase tag profiles, tracing
-// overhead) are written so the perf trajectory is tracked across PRs. A '*'
-// in the path fans the sections out to one file each (xgbench -json
-// 'BENCH_*.json' writes BENCH_serve.json, BENCH_spec.json,
-// BENCH_store.json, BENCH_tags.json, BENCH_backend.json, BENCH_obs.json,
-// BENCH_prefix.json); without it one combined file is written.
-//
-// -backend decodes the engine-level experiments against a registry backend
-// spec (e.g. "sim", "http:http://host:port") instead of the in-process
-// teacher-forced simulation. The simulation remains the default: it is the
-// only backend whose timing models the paper's hardware profiles.
+// Experiment ids: fig9 fig10 fig11 fig12 tab1 tab2 tab3 tab4 stats par. The
+// par experiment reports the parallel mask-cache build speedup over the
+// serial preprocessing scan. Every table carries a "clock:" note naming
+// which columns are wall-clock measurements and which come from llmsim's
+// modelled accelerator profile; the serving stack is measured by bench/
+// (see the root README), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -53,42 +25,17 @@ import (
 	"xgrammar/internal/experiments"
 )
 
-// benchJSON is the schema of the combined -json output file.
-type benchJSON struct {
-	Mode    string                           `json:"mode"` // quick | full
-	Vocab   int                              `json:"vocab"`
-	Serving []experiments.ServeResult        `json:"serving"`
-	Spec    []experiments.SpecBenchResult    `json:"spec"`
-	Store   []experiments.StoreResult        `json:"store"`
-	Tags    []experiments.TagsResult         `json:"tags"`
-	Backend []experiments.BackendBenchResult `json:"backend"`
-	Obs     []experiments.ObsResult          `json:"obs"`
-	Prefix  []experiments.PrefixResult       `json:"prefix"`
-}
-
-// benchFile is the schema of one per-section BENCH_<id>.json file (the '*'
-// form of -json; cmd/benchcheck validates this shape).
-type benchFile struct {
-	Mode       string `json:"mode"` // quick | full
-	Vocab      int    `json:"vocab"`
-	Experiment string `json:"experiment"`
-	Results    any    `json:"results"`
-}
-
 func main() {
 	full := flag.Bool("full", false, "paper-scale run (32k vocab; several minutes)")
 	exps := flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 	markdown := flag.Bool("markdown", false, "emit markdown instead of aligned text")
 	vocab := flag.Int("vocab", 0, "override vocabulary size")
-	jsonPath := flag.String("json", "", "write machine-readable results here; a '*' fans sections out to one file each")
-	backendSpec := flag.String("backend", "", "decode engine-level experiments against this registry backend spec (default: in-process simulation)")
 	flag.Parse()
 
 	suite := experiments.NewSuite(!*full)
 	if *vocab > 0 {
 		suite.Vocab = *vocab
 	}
-	suite.ModelSpec = *backendSpec
 	mode := "quick"
 	if *full {
 		mode = "full"
@@ -118,48 +65,4 @@ func main() {
 			fmt.Println(tb.String())
 		}
 	}
-
-	if *jsonPath == "" {
-		return
-	}
-	writeJSON := func(path string, v any) {
-		data, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xgbench: marshal json: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "xgbench: write %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "xgbench: wrote %s\n", path)
-	}
-	if strings.Contains(*jsonPath, "*") {
-		sections := []struct {
-			id      string
-			results any
-		}{
-			{"serve", suite.ServeBench()},
-			{"spec", suite.SpecBench()},
-			{"store", suite.StoreBench()},
-			{"tags", suite.TagsBench()},
-			{"backend", suite.BackendBench()},
-			{"obs", suite.ObsBench()},
-			{"prefix", suite.PrefixBench()},
-		}
-		for _, sec := range sections {
-			writeJSON(strings.Replace(*jsonPath, "*", sec.id, 1), benchFile{
-				Mode: mode, Vocab: suite.Vocab, Experiment: sec.id, Results: sec.results,
-			})
-		}
-		return
-	}
-	writeJSON(*jsonPath, benchJSON{
-		Mode: mode, Vocab: suite.Vocab,
-		Serving: suite.ServeBench(), Spec: suite.SpecBench(),
-		Store: suite.StoreBench(), Tags: suite.TagsBench(),
-		Backend: suite.BackendBench(), Obs: suite.ObsBench(),
-		Prefix: suite.PrefixBench(),
-	})
 }

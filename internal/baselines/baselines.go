@@ -42,15 +42,6 @@ type Session interface {
 	IsTerminated() bool
 }
 
-// WarmBackend is implemented by grammar backends whose sessions can start
-// pre-advanced past a forced byte prefix (templated-workload warm start).
-// replayed reports how many of the prefix's bytes were actually fed through
-// the matcher — the rest were restored from cached checkpoints.
-type WarmBackend interface {
-	Backend
-	NewWarmSession(prefix []byte) (s Session, replayed int, err error)
-}
-
 // ErrUnsupported is returned by backends that cannot handle a grammar class
 // (e.g. recursion in regex-based engines).
 type ErrUnsupported struct {

@@ -7,7 +7,6 @@ import (
 	"xgrammar/internal/backend/simllm"
 	"xgrammar/internal/grammar"
 	"xgrammar/internal/jsonschema"
-	"xgrammar/internal/llmsim"
 	"xgrammar/internal/tokenizer"
 )
 
@@ -22,9 +21,4 @@ func newRng(seed int64) *rand.Rand {
 // testModel is the teacher-forced model backend over the fast test profile.
 func testModel(tok *tokenizer.Tokenizer) backend.Backend {
 	return simllm.NewTeacher(tok, testProfile(), simllm.TeacherOptions{})
-}
-
-// specModel is testModel with a configured simulated draft model.
-func specModel(tok *tokenizer.Tokenizer, profile llmsim.Profile, acc float64, seed int64) backend.Backend {
-	return simllm.NewTeacher(tok, profile, simllm.TeacherOptions{DraftAccuracy: acc, DraftSeed: seed})
 }

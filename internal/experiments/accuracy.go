@@ -80,6 +80,7 @@ func (s *Suite) Tab4() *Table {
 	t.Add("XML code generation",
 		fmt.Sprintf("%d%%", 100*xmlOK/len(xmlDocs)),
 		fmt.Sprintf("%d%%", 100*xmlOKConstrained/len(xmlDocs)))
+	t.Note(clockNone + " — accuracy counts only; the constrained runs go through the modelled engine but no time is reported")
 	t.Note("unconstrained outputs wrap payloads in prose or corrupt value types (llmsim noise); constrained decoding masks those continuations out")
 	return t
 }

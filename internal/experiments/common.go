@@ -30,33 +30,12 @@ type Suite struct {
 	BatchSizes   []int
 	PromptTokens int
 	Quick        bool
-	// ModelSpec selects the model backend through the registry (the xgbench
-	// and xgrun -backend flag); empty or "llmsim" uses the in-process
-	// teacher-forced simulation, which is the only backend whose Timing
-	// models the chosen hardware profile.
-	ModelSpec string
 
 	tok *tokenizer.Tokenizer
-	// registryModel memoizes the -backend selected model across experiments.
-	registryModel backend.Backend
 	// memoized compiled artifacts
 	pdas   map[string]*pda.PDA
 	caches map[string]*maskcache.Cache
 	inits  map[string]time.Duration
-	// memoized serving-benchmark results (table and -json share one run)
-	serveResults []ServeResult
-	// memoized store-benchmark results (cold compile vs. warm load)
-	storeResults []StoreResult
-	// memoized speculative-decoding benchmark results
-	specResults []SpecBenchResult
-	// memoized structural-tag benchmark results
-	tagsResults []TagsResult
-	// memoized model-backend seam benchmark results
-	backendResults []BackendBenchResult
-	// memoized tracing-overhead benchmark results
-	obsResults []ObsResult
-	// memoized prefix-cache warm-start benchmark results
-	prefixResults []PrefixResult
 }
 
 // NewSuite returns a suite configuration.
@@ -94,27 +73,10 @@ func (s *Suite) Tok() *tokenizer.Tokenizer {
 }
 
 // Model returns the model backend experiments decode against: the
-// teacher-forced llmsim simulation timed by the given hardware profile, or
-// the registry backend named by ModelSpec (whose own Timing applies — the
-// profile only parameterizes the simulation).
+// teacher-forced llmsim simulation timed by the given hardware profile —
+// the only backend whose Timing models the paper's hardware.
 func (s *Suite) Model(profile llmsim.Profile) backend.Backend {
-	return s.SpecModel(profile, 0, 0)
-}
-
-// SpecModel is Model with the simulated draft model configured (speculative
-// decoding experiments); registry backends bring their own draft hook.
-func (s *Suite) SpecModel(profile llmsim.Profile, acc float64, seed int64) backend.Backend {
-	if s.ModelSpec != "" && s.ModelSpec != "llmsim" {
-		if s.registryModel == nil {
-			m, err := backend.Open(s.ModelSpec)
-			if err != nil {
-				panic("experiments: backend " + s.ModelSpec + ": " + err.Error())
-			}
-			s.registryModel = m
-		}
-		return s.registryModel
-	}
-	return simllm.NewTeacher(s.Tok(), profile, simllm.TeacherOptions{DraftAccuracy: acc, DraftSeed: seed})
+	return simllm.NewTeacher(s.Tok(), profile, simllm.TeacherOptions{})
 }
 
 // PDA compiles and memoizes a grammar under the given options.

@@ -101,7 +101,8 @@ func (s *Suite) Fig10() *Table {
 		}
 		t.Add(cells...)
 	}
-	t.Note("vocab=%d; GPU time modelled (profile %s), grammar CPU measured; slow engines step-capped", s.Vocab, profile.Name)
+	t.Note(clockModelled)
+	t.Note("vocab=%d; profile %s; slow engines step-capped", s.Vocab, profile.Name)
 	return t
 }
 
@@ -124,6 +125,7 @@ func (s *Suite) Tab1() *Table {
 		}, []string{art.Task.Instance}, s.FastStepCap)
 		t.Add(profile.Name, fmtMS(outl.TPOT), fmtMS(xg.TPOT))
 	}
+	t.Note(clockModelled)
 	t.Note("Outlines runs serially with its FSM-index build amortized; XGrammar overlaps preprocessing with prefill and mask generation with decoding (§3.5)")
 	return t
 }
@@ -167,6 +169,7 @@ func (s *Suite) Tab2() *Table {
 			t.Add(tc.name, fmt.Sprintf("%d", batch), fmtMS(off.TPOT), fmtMS(on.TPOT), over)
 		}
 	}
+	t.Note(clockModelled)
 	return t
 }
 
@@ -196,6 +199,7 @@ func (s *Suite) Fig11() *Table {
 			[]string{art.Task.Instance}, s.FastStepCap)
 		t.Add(rc.name, fmtMS(plain.TPOT), fmtMS(jf.TPOT), fmt.Sprintf("%d", jf.JumpForwardTokens))
 	}
+	t.Note(clockModelled)
 	t.Note("jump-forward inserts deterministic continuations without decode steps; both engines support it here, as in the paper")
 	return t
 }
@@ -217,6 +221,7 @@ func (s *Suite) Fig12() *Table {
 			[]string{art.Task.Instance}, s.FastStepCap)
 		t.Add(profile.Name, fmtMS(un.TTFT), fmtMS(st.TTFT), fmtMS(un.TPOT), fmtMS(st.TPOT))
 	}
+	t.Note(clockModelled)
 	t.Note("prompt %d tokens; structured runs include grammar preprocessing overlapped with prefill", s.PromptTokens)
 	return t
 }

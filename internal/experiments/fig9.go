@@ -80,9 +80,42 @@ func (s *Suite) Fig9() *Table {
 		}
 		t.Add(row...)
 	}
+	t.Note(clockWall + " — every cell is the measured mean FillMask latency on this machine")
 	t.Note("vocab=%d; full-scan engines measured over %d steps/task; n/s = grammar class not supported", s.Vocab, s.SlowStepCap)
 	t.Note("outlines uses FSM token indexing on the schema task and the interpreted CFG path otherwise, as in the paper")
 	return t
+}
+
+// tab3Configs names the cumulative ablation rows of Table 3.
+var tab3Configs = []string{
+	"PDA baseline", "+ node merging", "+ adaptive token mask cache", "+ rule inlining", "+ context expansion",
+}
+
+// tab3Latencies measures one mean per-token mask latency per tab3Configs row
+// on the CFG (unconstrained JSON) task.
+func (s *Suite) tab3Latencies() []time.Duration {
+	jsonDocs := s.cfgTasks()[0].docs
+	g := s.cfgTasks()[0].grammar
+	merged := s.PDA("tab3-merge", g, pda.Options{NodeMerging: true})
+	inlined := s.PDA("tab3-inline", g, pda.AllOptimizations)
+	xg := func(p *pda.PDA, cacheKey string, opts maskcache.Options) baselines.Backend {
+		return baselines.NewXGBackend(p, s.Cache(cacheKey, p, opts), s.Tok(), "xgrammar")
+	}
+	rows := []struct {
+		backend baselines.Backend
+		cap     int
+	}{
+		{baselines.NewLlamaCpp(s.PDA("tab3-plain", g, pda.Options{}), s.Tok()), s.SlowStepCap},
+		{baselines.NewLlamaCpp(merged, s.Tok()), s.SlowStepCap},
+		{xg(merged, "tab3-cache", maskcache.Options{}), s.FastStepCap},
+		{xg(inlined, "tab3-inline", maskcache.Options{}), s.FastStepCap},
+		{xg(inlined, "tab3-ctx", maskcache.Options{ContextExpansion: true}), s.FastStepCap},
+	}
+	lats := make([]time.Duration, len(rows))
+	for i, r := range rows {
+		lats[i], _ = s.measureMaskLatency(r.backend, jsonDocs, r.cap)
+	}
+	return lats
 }
 
 // Tab3 reproduces Table 3: the cumulative ablation of the optimization
@@ -95,47 +128,16 @@ func (s *Suite) Tab3() *Table {
 		Paper:  "PDA baseline 65.776ms; +node merging 38.280 (1.7x); +adaptive cache 0.154 (248.6x); +rule inlining 0.035 (4.4x); +context expansion 0.018ms (1.9x)",
 		Header: []string{"configuration", "per-token latency (ms)", "speedup vs prev"},
 	}
-	jsonDocs := s.cfgTasks()[0].docs
-	g := s.cfgTasks()[0].grammar
-
-	type config struct {
-		name string
-		mk   func() baselines.Backend
-		cap  int
-	}
-	configs := []config{
-		{"PDA baseline", func() baselines.Backend {
-			return baselines.NewLlamaCpp(s.PDA("tab3-plain", g, pda.Options{}), s.Tok())
-		}, s.SlowStepCap},
-		{"+ node merging", func() baselines.Backend {
-			return baselines.NewLlamaCpp(s.PDA("tab3-merge", g, pda.Options{NodeMerging: true}), s.Tok())
-		}, s.SlowStepCap},
-		{"+ adaptive token mask cache", func() baselines.Backend {
-			p := s.PDA("tab3-merge", g, pda.Options{NodeMerging: true})
-			c := s.Cache("tab3-cache", p, maskcache.Options{})
-			return baselines.NewXGBackend(p, c, s.Tok(), "xgrammar")
-		}, s.FastStepCap},
-		{"+ rule inlining", func() baselines.Backend {
-			p := s.PDA("tab3-inline", g, pda.AllOptimizations)
-			c := s.Cache("tab3-inline", p, maskcache.Options{})
-			return baselines.NewXGBackend(p, c, s.Tok(), "xgrammar")
-		}, s.FastStepCap},
-		{"+ context expansion", func() baselines.Backend {
-			p := s.PDA("tab3-inline", g, pda.AllOptimizations)
-			c := s.Cache("tab3-ctx", p, maskcache.Options{ContextExpansion: true})
-			return baselines.NewXGBackend(p, c, s.Tok(), "xgrammar")
-		}, s.FastStepCap},
-	}
 	var prev time.Duration
-	for _, cfg := range configs {
-		lat, _ := s.measureMaskLatency(cfg.mk(), jsonDocs, cfg.cap)
+	for i, lat := range s.tab3Latencies() {
 		speedup := "-"
 		if prev > 0 && lat > 0 {
 			speedup = fmt.Sprintf("%.1fx", float64(prev)/float64(lat))
 		}
-		t.Add(cfg.name, fmtMS(lat), speedup)
+		t.Add(tab3Configs[i], fmtMS(lat), speedup)
 		prev = lat
 	}
+	t.Note(clockWall + " — every row is the measured mean FillMask latency on this machine")
 	t.Note("vocab=%d; each row adds one optimization on top of the previous row, as in the paper", s.Vocab)
 	return t
 }

@@ -47,6 +47,7 @@ func (s *Suite) Par() *Table {
 			speedup,
 		)
 	}
+	t.Note(clockWall + " — both build columns are measured on this machine (one build each, after a warm-up)")
 	t.Note("vocab=%d; each PDA node's vocabulary scan is independent, so the build fans out across a bounded worker pool", s.Vocab)
 	t.Note("speedup tracks available cores (GOMAXPROCS=%d here); masks and statistics are identical for any worker count", workers)
 	return t

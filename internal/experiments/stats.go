@@ -53,6 +53,7 @@ func (s *Suite) Stats() *Table {
 			fmt.Sprintf("%.1f%%", 100*float64(es.CharsStepped)/float64(es.CharsTotal)),
 		)
 	}
+	t.Note(clockNone + " — token counts and byte sizes of the compiled mask cache; nothing is timed")
 	t.Note("vocab=%d (paper: 128k); ctx-dep/node is the mean number of context-dependent tokens per automaton node", s.Vocab)
 	t.Note("'chars stepped' is the fraction of token bytes actually executed thanks to persistent-stack prefix sharing (§3.3)")
 	return t
@@ -71,13 +72,6 @@ func (s *Suite) All() []*Table {
 		s.Fig12(),
 		s.Stats(),
 		s.Par(),
-		s.Serve(),
-		s.Spec(),
-		s.Store(),
-		s.Tags(),
-		s.Backend(),
-		s.Obs(),
-		s.Prefix(),
 	}
 }
 
@@ -104,20 +98,6 @@ func (s *Suite) ByID(id string) (*Table, bool) {
 		return s.Stats(), true
 	case "par":
 		return s.Par(), true
-	case "serve":
-		return s.Serve(), true
-	case "spec":
-		return s.Spec(), true
-	case "store":
-		return s.Store(), true
-	case "tags":
-		return s.Tags(), true
-	case "backend":
-		return s.Backend(), true
-	case "obs":
-		return s.Obs(), true
-	case "prefix":
-		return s.Prefix(), true
 	}
 	return nil, false
 }

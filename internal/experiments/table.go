@@ -20,6 +20,15 @@ type Table struct {
 	Notes  []string
 }
 
+// Every table carries one of these notes so a modelled figure is never read
+// as a measurement: "wall" columns were timed on this machine, "modelled"
+// columns come from llmsim's hardware profile through internal/engine.
+const (
+	clockWall     = "clock: wall"
+	clockModelled = "clock: modelled — TPOT/TTFT are llmsim GPU, prefill and sampling charges plus wall-clock grammar CPU where the mode leaves it on the critical path; a what-if, not a measurement of a serving stack (bench/ measures that)"
+	clockNone     = "clock: none"
+)
+
 // Add appends a row.
 func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, cells)

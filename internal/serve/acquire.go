@@ -56,9 +56,6 @@ func NewAcquirer(pool *SessionPool, cache *prefixcache.Cache, grammarID string, 
 	return &Acquirer{pool: pool, cache: cache, grammarID: grammarID, minDepth: minDepth, stride: stride}
 }
 
-// Pool returns the underlying session pool.
-func (a *Acquirer) Pool() *SessionPool { return a.pool }
-
 // AcquireResult reports how warm one acquisition was.
 type AcquireResult struct {
 	// PrefixLen is the forced prefix length in bytes; ReusedBytes of it were

@@ -333,4 +333,7 @@ func TestConcurrentAcquireRelease(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
+	if n := a.pool.Outstanding(); n != 0 {
+		t.Fatalf("%d sessions outstanding after every session closed", n)
+	}
 }

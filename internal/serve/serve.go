@@ -35,6 +35,7 @@ type SessionPool struct {
 	pool       sync.Pool
 	created    atomic.Int64
 	reused     atomic.Int64
+	released   atomic.Int64
 }
 
 // NewSessionPool returns a pool of sessions over the compiled automaton.
@@ -79,19 +80,30 @@ func (sp *SessionPool) Release(s *Session) {
 	s.terminated = false
 	s.dirty = true
 	s.lastStats = maskcache.FillStats{}
+	sp.released.Add(1)
 	sp.pool.Put(s)
 }
 
 // PoolStats reports session recycling activity.
 type PoolStats struct {
 	// Created counts sessions built from scratch; Reused counts Acquire
-	// calls served by recycling a released session.
+	// calls served by recycling a released session. A released session is
+	// not guaranteed to be the next one reused (sync.Pool keeps per-P slots
+	// and drops idle entries at GC), so leak checks use Outstanding.
 	Created, Reused int64
 }
 
 // Stats returns a snapshot of the pool counters.
 func (sp *SessionPool) Stats() PoolStats {
 	return PoolStats{Created: sp.created.Load(), Reused: sp.reused.Load()}
+}
+
+// Outstanding returns the number of sessions acquired and not yet released:
+// zero whenever no generation is in flight, unless a session leaked.
+func (sp *SessionPool) Outstanding() int64 {
+	// released first: a concurrent acquire can only push the result up.
+	rel := sp.released.Load()
+	return sp.created.Load() + sp.reused.Load() - rel
 }
 
 // Tok returns the tokenizer the pool's grammar was compiled for.
@@ -113,9 +125,7 @@ type StepResult struct {
 
 // Session tracks one generation over pooled grammar resources: a matcher, a
 // mask-fill scratch context, and the session's own mask buffer. In steady
-// state Step performs no heap allocations. A Session also satisfies the
-// baselines.Session and baselines.JumpForwarder interfaces, so the serving
-// engine can schedule pooled sessions like any other grammar backend.
+// state Step performs no heap allocations.
 type Session struct {
 	sp   *SessionPool
 	exec *matcher.Exec
@@ -192,8 +202,7 @@ func (s *Session) FillTracked() (stats maskcache.FillStats, computed bool) {
 // output inside the grammar. Valid until the next Step/Fill call.
 func (s *Session) Mask() []uint64 { return s.mask }
 
-// FillMask fills the allowed-token mask into a caller-provided bitset (the
-// baselines.Session fill path used by the serving engine).
+// FillMask fills the allowed-token mask into a caller-provided bitset.
 func (s *Session) FillMask(mask *bitset.Bitset) { s.fillInto(mask) }
 
 func (s *Session) fillInto(mask *bitset.Bitset) maskcache.FillStats {

@@ -6,12 +6,15 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"xgrammar/internal/backend"
 	"xgrammar/internal/backend/httpllm"
 	"xgrammar/internal/backend/simllm"
+	"xgrammar/internal/llmsim"
 	"xgrammar/internal/server"
+	"xgrammar/internal/tokenizer"
 )
 
 // TestGatewayHTTPBackendEndToEnd serves /v1/generate through the HTTP
@@ -125,37 +128,52 @@ func (s *failAfterSeq) Next(ctx context.Context, mask []uint64) (int32, error) {
 	return s.Sequence.Next(ctx, mask)
 }
 
+// Draft forwards the inner draft hook, so a speculative request fails
+// inside the verify pass instead of falling back to plain decoding.
+func (s *failAfterSeq) Draft(ctx context.Context, k int) (backend.Proposer, bool) {
+	return s.Sequence.(backend.Speculator).Draft(ctx, k)
+}
+
 // TestGatewayBackendFailure pins the gateway's model-fault taxonomy: a
 // backend dying mid-generation finishes that generation with
-// finish_reason "error", streams the partial output, counts one backend
-// error — and the decode loop keeps serving.
+// error, returns its pooled session — in a plain round and mid-verify in a
+// speculative one alike — and the decode loop keeps serving.
 func TestGatewayBackendFailure(t *testing.T) {
 	eos := testInfo(t).EOSTokenID()
-	ts, _, _ := gateway(t, "", false, server.Config{
+	ts, _, comp := gateway(t, "", false, server.Config{
 		MaxInflight: 4, MaxTokens: 50,
 		Backends: map[string]backend.Backend{"flaky": &failingBackend{inner: simllm.NewSampler(eos)}},
 	})
-
-	resp, body := postJSON(t, ts.URL+"/v1/generate", server.GenerateRequest{
-		GrammarRequest: server.GrammarRequest{Kind: "builtin", Source: "json"},
-		Model:          "flaky", Seed: 11,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("generate: %d %s", resp.StatusCode, body)
-	}
-	var r server.GenerateResponse
-	if err := json.Unmarshal(body, &r); err != nil {
+	cg, err := comp.CompileBuiltinJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r.FinishReason != server.FinishError {
-		t.Fatalf("finish_reason = %q, want error", r.FinishReason)
-	}
-	if r.Tokens == 0 {
-		t.Fatal("partial output before the fault was not streamed")
+
+	for _, spec := range []*server.SpeculativeParams{nil, {DraftTokens: 4}} {
+		resp, body := postJSON(t, ts.URL+"/v1/generate", server.GenerateRequest{
+			GrammarRequest: server.GrammarRequest{Kind: "builtin", Source: "json"},
+			Model:          "flaky", Seed: 11, Speculative: spec,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("generate: %d %s", resp.StatusCode, body)
+		}
+		var r server.GenerateResponse
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.FinishReason != server.FinishError {
+			t.Fatalf("speculative=%v: finish_reason = %q, want error", spec != nil, r.FinishReason)
+		}
+		if r.Tokens == 0 {
+			t.Fatalf("speculative=%v: partial output before the fault was not streamed", spec != nil)
+		}
+		if n := cg.SessionsOutstanding(); n != 0 {
+			t.Fatalf("speculative=%v: failed generation kept %d sessions", spec != nil, n)
+		}
 	}
 
 	// The batch must still serve healthy generations afterwards.
-	resp, body = postJSON(t, ts.URL+"/v1/generate", server.GenerateRequest{
+	resp, body := postJSON(t, ts.URL+"/v1/generate", server.GenerateRequest{
 		GrammarRequest: server.GrammarRequest{Kind: "builtin", Source: "json"}, Seed: 11,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -163,7 +181,72 @@ func TestGatewayBackendFailure(t *testing.T) {
 	}
 
 	m := getMetrics(t, ts.URL)
-	if m.Backends["flaky"].Errors != 1 {
-		t.Fatalf("flaky backend errors = %d, want 1", m.Backends["flaky"].Errors)
+	if m.Backends["flaky"].Errors != 2 {
+		t.Fatalf("flaky backend errors = %d, want 2", m.Backends["flaky"].Errors)
+	}
+}
+
+// promptTeacher is the teacher-forced model behind the gateway: the gateway
+// sets no Target, so the prompt carries the text to reproduce. forced counts
+// the jump-forward insertions the teacher absorbed.
+type promptTeacher struct {
+	*simllm.Teacher
+	forced atomic.Int64
+}
+
+func (p *promptTeacher) Open(req backend.Request) (backend.Sequence, error) {
+	req.Target = req.Prompt
+	seq, err := p.Teacher.Open(req)
+	if err != nil {
+		return nil, err
+	}
+	return &countForcedSeq{Sequence: seq, forced: &p.forced}, nil
+}
+
+type countForcedSeq struct {
+	backend.Sequence
+	forced *atomic.Int64
+}
+
+func (s *countForcedSeq) ObserveForced(text string) bool {
+	ok := s.Sequence.ObserveForced(text)
+	if ok {
+		s.forced.Add(1)
+	}
+	return ok
+}
+
+// TestGatewayTeacherJumpForward decodes a JSON-Schema document through a
+// position-tracking backend: the batcher must tell the model about every
+// jump-forward insertion (ObserveForced), or the teacher loses alignment
+// after the first forced byte and the request ends finish_reason "error".
+func TestGatewayTeacherJumpForward(t *testing.T) {
+	teacher := &promptTeacher{Teacher: simllm.NewTeacher(tokenizer.BuildDefault(800), llmsim.Profile{}, simllm.TeacherOptions{})}
+	ts, _, _ := gateway(t, "", false, server.Config{
+		MaxInflight: 4, MaxTokens: 300,
+		Backends: map[string]backend.Backend{"teacher": teacher},
+	})
+	gen := func(req server.GenerateRequest) server.GenerateResponse {
+		req.GrammarRequest = server.GrammarRequest{Kind: "json_schema", Source: testSchema}
+		resp, body := postJSON(t, ts.URL+"/v1/generate", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("generate model=%q: %d %s", req.Model, resp.StatusCode, body)
+		}
+		var r server.GenerateResponse
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// The target is whatever the default sampler produced under the same
+	// grammar, so it is valid and spells its forced runs as the grammar does.
+	target := gen(server.GenerateRequest{Seed: 7}).Text
+	got := gen(server.GenerateRequest{Model: "teacher", Prompt: target})
+	if got.FinishReason != server.FinishStop || got.Text != target {
+		t.Fatalf("teacher through the gateway: finish_reason %q, text %q, want stop and %q",
+			got.FinishReason, got.Text, target)
+	}
+	if n := teacher.forced.Load(); n < 2 || got.JumpForwardBytes == 0 {
+		t.Fatalf("%d forced insertions (%d bytes) reached the teacher, want >= 2", n, got.JumpForwardBytes)
 	}
 }

@@ -567,9 +567,12 @@ func (b *batcher) emitJumpForward(q *genSeq, jf string) {
 }
 
 // insertJumpForward probes and inserts the deterministic continuation at
-// the sequence head (Appendix B): no decode round, no token budget.
+// the sequence head (Appendix B): no decode round, no token budget. The
+// model is offered the continuation first and the insertion is skipped when
+// it declines — a position-tracking backend would otherwise lose alignment
+// with the output after the first forced byte.
 func (b *batcher) insertJumpForward(q *genSeq) {
-	if jf := q.sess.JumpForward(); jf != "" {
+	if jf := q.sess.JumpForward(); jf != "" && q.seq.ObserveForced(jf) {
 		if err := q.sess.AcceptString(jf); err == nil {
 			b.emitJumpForward(q, jf)
 		}

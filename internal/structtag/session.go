@@ -28,11 +28,11 @@ const maxSegmentSpans = 32
 
 // Session is one generation driven through the dispatcher. Like a
 // serve.Session it owns its mask buffer, is driven from one goroutine, and
-// returns to its pool on Close. It satisfies the serving engine's session
-// surfaces (baselines.Session, the engine's JumpForwarder, and the
-// speculative decoder's Sequencer), so every decode mode — plain,
-// overlapped batch fill, jump-forward insertion, speculative draft-verify —
-// works unchanged on top of structural-tag dispatch.
+// returns to its pool on Close. It has the same step surface as a
+// serve.Session (Step/Fill/JumpForward/AcceptString and the speculative
+// decoder's Sequencer), so every decode mode — plain, overlapped batch fill,
+// jump-forward insertion, speculative draft-verify — works unchanged on top
+// of structural-tag dispatch.
 type Session struct {
 	ts *Set
 	// mode is -1 in free text, else the index of the active tag.
@@ -338,13 +338,6 @@ func (s *Session) FillTracked() (maskcache.FillStats, bool) {
 // Mask returns the session's mask buffer; valid until the next Step/Fill.
 func (s *Session) Mask() []uint64 { return s.mask }
 
-// FillMask writes the allowed-token mask into a caller-provided bitset (the
-// engine's baselines.Session fill path).
-func (s *Session) FillMask(mask *bitset.Bitset) {
-	s.Fill()
-	copy(mask.Words(), s.mask)
-}
-
 // Step is the fused per-token call: accept, probe the jump-forward
 // continuation, fill the next mask.
 //
@@ -566,5 +559,6 @@ func (s *Session) Close() {
 	s.lastStats = maskcache.FillStats{}
 	s.spans = s.spans[:0]
 	s.replaying = false
+	s.ts.released.Add(1)
 	s.ts.pool.Put(s)
 }

@@ -26,8 +26,8 @@ package structtag
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
-	"xgrammar/internal/baselines"
 	"xgrammar/internal/bitset"
 	"xgrammar/internal/matcher"
 	"xgrammar/internal/serve"
@@ -65,6 +65,8 @@ type Set struct {
 	words      int
 	maxHistory int
 	pool       sync.Pool
+	acquired   atomic.Int64
+	released   atomic.Int64
 }
 
 // NewSet compiles a dispatcher over the tags. Begin tags must be non-empty,
@@ -133,6 +135,7 @@ func (ts *Set) Tok() *tokenizer.Tokenizer { return ts.tok }
 // start, recycling a closed one when available. The session's mask is not
 // yet filled; call Fill (or let the first Step do it).
 func (ts *Set) Acquire() *Session {
+	ts.acquired.Add(1)
 	if v := ts.pool.Get(); v != nil {
 		return v.(*Session)
 	}
@@ -148,6 +151,14 @@ func (ts *Set) Acquire() *Session {
 	return s
 }
 
+// Outstanding returns the number of dispatcher sessions acquired and not
+// yet closed: zero whenever no generation is in flight, unless one leaked.
+func (ts *Set) Outstanding() int64 {
+	// released first: a concurrent acquire can only push the result up.
+	rel := ts.released.Load()
+	return ts.acquired.Load() - rel
+}
+
 // stepRec is one checkpoint in the dispatcher's rollback ring.
 type stepRec struct {
 	// nbytes is how many bytes this step appended to the stream.
@@ -159,27 +170,3 @@ type stepRec struct {
 	// one back takes the replay slow path.
 	transition bool
 }
-
-// Backend adapts a Set to the engine's grammar-backend interface: every
-// NewSession is a pooled dispatcher session starting in free-text mode.
-type Backend struct {
-	set  *Set
-	name string
-}
-
-// NewBackend wraps a tag set as an engine backend.
-func NewBackend(set *Set, name string) *Backend {
-	if name == "" {
-		name = "structtag"
-	}
-	return &Backend{set: set, name: name}
-}
-
-// Name implements baselines.Backend.
-func (b *Backend) Name() string { return b.name }
-
-// NewSession implements baselines.Backend.
-func (b *Backend) NewSession() baselines.Session { return b.set.Acquire() }
-
-// Set returns the underlying tag set.
-func (b *Backend) Set() *Set { return b.set }

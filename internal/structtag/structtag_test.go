@@ -516,6 +516,7 @@ func TestTaggedSegmentsParse(t *testing.T) {
 
 func TestConcurrentSessions(t *testing.T) {
 	setup(t)
+	before := testSet.Outstanding()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -538,6 +539,9 @@ func TestConcurrentSessions(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
+	if n := testSet.Outstanding(); n != before {
+		t.Fatalf("outstanding sessions %d -> %d after every session closed", before, n)
+	}
 }
 
 // TestSteadyStateAllocs pins the 0-alloc hot path: free-text and in-segment

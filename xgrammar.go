@@ -252,6 +252,13 @@ func (cg *CompiledGrammar) SessionPoolStats() (created, reused int64) {
 	return st.Created, st.Reused
 }
 
+// SessionsOutstanding reports the grammar's serving sessions acquired and
+// not yet closed. Unlike the recycling counters it is exact under
+// concurrency: zero whenever no generation is in flight, unless one leaked.
+func (cg *CompiledGrammar) SessionsOutstanding() int64 {
+	return cg.sessionPool().Outstanding()
+}
+
 // CompileGrammar compiles EBNF source text. Results are served from the
 // compiled-grammar cache when the same source (under the same tokenizer and
 // compiler configuration) was compiled before; concurrent calls for the same
