@@ -417,44 +417,6 @@ func BenchmarkCompileGrammarCold(b *testing.B) {
 	}
 }
 
-// BenchmarkFillBatch measures masking a 16-sequence decode batch: the
-// goroutine fan-out against the sequential per-matcher loop.
-func BenchmarkFillBatch(b *testing.B) {
-	benchSetup(b)
-	info := DefaultTokenizer(benchVocab)
-	cg, err := NewCompiler(info).CompileBuiltinJSON()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 16
-	matchers := make([]*Matcher, batch)
-	masks := make([][]uint64, batch)
-	for i := range matchers {
-		matchers[i] = NewMatcher(cg)
-		doc := benchEnv.jsonDocs[i%len(benchEnv.jsonDocs)]
-		n := i % 8
-		if n > len(doc) {
-			n = len(doc)
-		}
-		if err := matchers[i].AcceptString(doc[:n]); err != nil {
-			b.Fatal(err)
-		}
-		masks[i] = make([]uint64, cg.MaskWords())
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range matchers {
-				matchers[j].FillNextTokenBitmask(masks[j])
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			FillNextTokenBitmaskBatch(matchers, masks)
-		}
-	})
-}
-
 // --- Serving runtime: pooled sessions, fused step --------------------------
 
 // BenchmarkEngineSessionStep measures the public serving API's fused

@@ -62,7 +62,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 64, "max concurrently decoding generations (429 beyond)")
 	maxTokens := flag.Int("max-tokens", 256, "per-request decode-step budget cap")
 	gpuStep := flag.Duration("gpu-step", 2*time.Millisecond, "simulated GPU forward-pass time per decode round")
-	workers := flag.Int("workers", 0, "batch-fill workers (0: one per CPU, shared pool)")
 	debugAddr := flag.String("debug-addr", "", "private listen address for pprof + trace endpoints (empty: disabled)")
 	logFormat := flag.String("log-format", "", "access-log format: json or text (empty: no access log)")
 	prefixMB := flag.Int("prefix-cache-mb", 32, "constraint-state prefix cache byte budget in MiB (0: disabled)")
@@ -118,9 +117,6 @@ func main() {
 	}
 
 	var engOpts []xgrammar.EngineOption
-	if *workers > 0 {
-		engOpts = append(engOpts, xgrammar.WithFillWorkers(*workers))
-	}
 	if *prefixMB > 0 {
 		engOpts = append(engOpts, xgrammar.WithPrefixCache(int64(*prefixMB)<<20, *prefixDepth, *prefixStride))
 		fmt.Fprintf(os.Stderr, "xgserve: prefix cache enabled (budget=%d MiB)\n", *prefixMB)

@@ -121,77 +121,6 @@ func TestCompileGrammarAsync(t *testing.T) {
 	}
 }
 
-// TestFillNextTokenBitmaskBatch drives 16 sequences to different positions
-// and checks the batched fill produces exactly the masks of per-matcher
-// sequential fills.
-func TestFillNextTokenBitmaskBatch(t *testing.T) {
-	cg := mustCompileJSON(t)
-	docs := []string{
-		`{"a": 1`, `[1, 2, `, `"str`, `tru`, `{"k": [`, `-12.`, `[[[`, `{"x": {"y": `,
-		``, `[`, `{`, `"`, `null`, `{"a": "b", `, `[true, `, `3e`,
-	}
-	matchers := make([]*Matcher, len(docs))
-	masks := make([][]uint64, len(docs))
-	want := make([][]uint64, len(docs))
-	for i, doc := range docs {
-		matchers[i] = NewMatcher(cg)
-		if doc != "" {
-			if err := matchers[i].AcceptString(doc); err != nil {
-				t.Fatalf("doc %d %q: %v", i, doc, err)
-			}
-		}
-		masks[i] = make([]uint64, cg.MaskWords())
-		want[i] = make([]uint64, cg.MaskWords())
-		if _, err := matchers[i].FillNextTokenBitmask(want[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats, err := FillNextTokenBitmaskBatch(matchers, masks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != len(docs) {
-		t.Fatalf("stats length %d", len(stats))
-	}
-	for i := range docs {
-		for w := range want[i] {
-			if masks[i][w] != want[i][w] {
-				t.Fatalf("sequence %d (%q): batch mask differs at word %d", i, docs[i], w)
-			}
-		}
-	}
-	// Batched fill on a terminated matcher clears the mask, like the
-	// sequential path.
-	term := NewMatcher(cg)
-	if err := term.AcceptString(`[1]`); err != nil {
-		t.Fatal(err)
-	}
-	if err := term.AcceptToken(cg.TokenizerInfo().EOSTokenID()); err != nil {
-		t.Fatal(err)
-	}
-	tm := [][]uint64{make([]uint64, cg.MaskWords())}
-	tm[0][0] = ^uint64(0)
-	if _, err := FillNextTokenBitmaskBatch([]*Matcher{term}, tm); err != nil {
-		t.Fatal(err)
-	}
-	if tm[0][0] != 0 {
-		t.Fatal("terminated matcher mask not cleared by batch fill")
-	}
-}
-
-// TestFillBatchLengthMismatchErrors: malformed batch inputs surface as
-// errors, not panics.
-func TestFillBatchLengthMismatchErrors(t *testing.T) {
-	cg := mustCompileJSON(t)
-	if _, err := FillNextTokenBitmaskBatch([]*Matcher{NewMatcher(cg)}, nil); err == nil {
-		t.Fatal("no error on matcher/mask length mismatch")
-	}
-	short := [][]uint64{make([]uint64, cg.MaskWords()-1)}
-	if _, err := FillNextTokenBitmaskBatch([]*Matcher{NewMatcher(cg)}, short); err == nil {
-		t.Fatal("no error on undersized mask in batch")
-	}
-}
-
 // TestFillMaskLengthValidation: an undersized mask returns a clear error
 // instead of an out-of-range panic; an oversized mask's extra words are
 // ignored.

@@ -3,8 +3,7 @@
 // pooled Sessions (grammar resolution is a compiled-grammar cache hit after
 // the first request for each grammar); every decode round launches one
 // batched "GPU" step (a timer standing in for the forward pass) and fills
-// the whole batch's masks through the engine's persistent worker pool while
-// it runs, synchronizing before sampling exactly as in Figure 8; finished
+// the whole batch's masks on this goroutine while it runs, synchronizing before sampling exactly as in Figure 8; finished
 // sequences leave mid-run and their grammar state is recycled for the next
 // arrival. Jump-forward continuations (Appendix B) are inserted for free.
 package main
@@ -97,7 +96,7 @@ func main() {
 			}
 			// Sample (teacher-forced), accept, insert jump-forwards, retire.
 			// Accept does not refill: the next round's FillBatch recomputes
-			// every stale mask in parallel while the GPU step runs, so the
+			// every stale mask while the GPU step runs, so the
 			// grammar work happens exactly once per token — off the critical
 			// path.
 			for i := 0; i < len(batch); {
@@ -146,9 +145,9 @@ func main() {
 	fmt.Printf("  overlapped (fill during GPU step): %7v/round\n",
 		(overlapT / time.Duration(overlapRounds)).Round(time.Microsecond))
 	fmt.Printf("  pure GPU floor:                    %7v/round\n\n", gpuStepTime)
-	fmt.Println("the batch mask fill runs through a persistent work-stealing worker")
-	fmt.Println("pool while the GPU step executes, so with the mask cache the grammar")
-	fmt.Println("work disappears from the critical path (§3.5)")
+	fmt.Println("the batch mask fill runs on the decode goroutine while the GPU step")
+	fmt.Println("executes, so with the mask cache the grammar work disappears from")
+	fmt.Println("the critical path (§3.5)")
 
 	st := compiler.CompileCacheStats()
 	fmt.Printf("\ncompiled-grammar cache: %d builds for %d requests ×2 runs (%d hits)\n",

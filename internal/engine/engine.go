@@ -23,7 +23,6 @@ import (
 	"xgrammar/internal/backend"
 	"xgrammar/internal/baselines"
 	"xgrammar/internal/bitset"
-	"xgrammar/internal/serve"
 	"xgrammar/internal/tokenizer"
 )
 
@@ -111,7 +110,6 @@ type seqState struct {
 	seq       backend.Sequence
 	session   baselines.Session // nil: unconstrained
 	mask      *bitset.Bitset
-	fillDur   time.Duration
 	next      int32
 	firstTok  bool
 	outTokens int
@@ -147,8 +145,8 @@ type runner struct {
 
 // Run decodes all requests as one fixed batch admitted at time zero.
 // Sequences leave the batch as they finish; each decode step combines
-// modelled GPU time with measured grammar time — overlapped and
-// batch-parallel in Overlap mode, serialized in Serial mode. Outputs are
+// modelled GPU time with measured grammar time — overlapped in Overlap
+// mode, serialized in Serial mode. Outputs are
 // returned in the order of reqs. The model sees each request with ID
 // rewritten to its index, so deterministic simulation backends key their
 // per-sequence randomness the same way however callers number requests.
@@ -268,30 +266,19 @@ func (r *runner) checkToken(s *seqState, id int32) error {
 }
 
 // fillMasks fills one mask per constrained live sequence and returns the
-// wall time of the whole phase. Overlap mode fills the batch through the
-// shared worker pool; Serial mode keeps grammar work on the critical path.
+// wall time of the whole phase. The fills run in a loop on the decode
+// goroutine in both modes; the mode only decides whether that wall time
+// overlaps the GPU step or adds to it.
 func (r *runner) fillMasks() time.Duration {
 	if r.live[0].session == nil { // sessions are all-or-none per run
 		return 0
 	}
-	fill := func(i int) {
-		s := r.live[i]
-		f0 := time.Now()
-		s.session.FillMask(s.mask)
-		s.fillDur = time.Since(f0)
-	}
 	t0 := time.Now()
-	if r.cfg.Mode == Overlap && len(r.live) > 1 {
-		serve.DefaultPool().Run(len(r.live), fill)
-	} else {
-		for i := range r.live {
-			fill(i)
-		}
+	for _, s := range r.live {
+		s.session.FillMask(s.mask)
 	}
 	fillWall := time.Since(t0)
-	for _, s := range r.live {
-		r.met.MaskCPU += s.fillDur
-	}
+	r.met.MaskCPU += fillWall
 	return fillWall
 }
 

@@ -556,8 +556,8 @@ func FromParts(p *pda.PDA, tok *tokenizer.Tokenizer, nodes []NodeMask, stats Sta
 
 // WireMask is the serializable form of a NodeMask (gob needs exported
 // fields only; the private counters are carried in the aggregate Stats).
-// The Bits field name is kept from the previous wire version so version-2
-// blobs decode into the same struct; it carries Words for WordMask nodes.
+// The Bits field name is kept from the previous wire version; it carries
+// Words for WordMask nodes.
 type WireMask struct {
 	Kind   StorageKind
 	Tokens []int32

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"xgrammar/internal/bitset"
 )
 
 // BenchmarkSessionStep measures the fused per-token hot path (accept +
@@ -54,39 +52,4 @@ func BenchmarkSessionStep(b *testing.B) {
 		}
 		i++
 	}
-}
-
-// BenchmarkWorkerPoolFill compares one decode step's batch mask fill through
-// the persistent work-stealing pool against a serial fill, at a serving
-// batch size. Fills go into external bitsets (the engine's per-step path),
-// which always compute — Session.Fill is idempotent and would no-op after
-// the first iteration.
-func BenchmarkWorkerPoolFill(b *testing.B) {
-	e := testEnv(b)
-	spool := NewSessionPool(e.p, e.cache, e.tok, 0)
-	const batch = 32
-	sessions := make([]*Session, batch)
-	masks := make([]*bitset.Bitset, batch)
-	for i := range sessions {
-		sessions[i] = spool.Acquire()
-		if err := sessions[i].AcceptString(fmt.Sprintf(`{"seq%d": [%d, `, i, i)); err != nil {
-			b.Fatal(err)
-		}
-		masks[i] = bitset.New(e.tok.VocabSize())
-	}
-	b.Run("serial", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			for i, s := range sessions {
-				s.FillMask(masks[i])
-			}
-		}
-	})
-	b.Run("pool", func(b *testing.B) {
-		wp := NewWorkerPool(0)
-		defer wp.Close()
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			wp.Run(len(sessions), func(i int) { sessions[i].FillMask(masks[i]) })
-		}
-	})
 }

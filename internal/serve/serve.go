@@ -1,8 +1,7 @@
 // Package serve is the continuous-batching serving runtime that co-designs
 // the grammar engine with the LLM engine (§3.5): pooled per-sequence
-// sessions whose steady-state decode step is allocation-free, and a
-// persistent worker pool that fills a whole batch's token masks with work
-// stealing across sequences.
+// sessions whose steady-state decode step is allocation-free, and the
+// warm-start acquisition layer that positions them after a forced prefix.
 //
 // A Session fuses the per-token grammar work — accept the sampled token,
 // probe the jump-forward continuation (Appendix B), and fill the next-step
@@ -175,7 +174,7 @@ func (s *Session) Step(id int32) (StepResult, error) {
 // session's own buffer (Mask). Fill is idempotent: when the mask is already
 // current — the fused Step just produced it, or a batch fill ran since the
 // last accept — it returns the cached statistics without recomputing, so
-// mixing Step with WorkerPool batch fills never does the grammar work twice.
+// mixing Step with batch fills never does the grammar work twice.
 func (s *Session) Fill() maskcache.FillStats {
 	st, _ := s.FillTracked()
 	return st
@@ -219,8 +218,8 @@ func (s *Session) fillInto(mask *bitset.Bitset) maskcache.FillStats {
 }
 
 // Accept advances the session by one generated token without the fused
-// probe+fill — the batch-decoding path where the next round's WorkerPool
-// fill computes the mask while the GPU runs. The stop token terminates the
+// probe+fill — the batch-decoding path where the next round's batch fill
+// computes the mask while the GPU runs. The stop token terminates the
 // generation; it is only legal when the grammar can complete.
 func (s *Session) Accept(id int32) error {
 	if s.terminated {

@@ -224,87 +224,6 @@ func TestStepNoAllocs(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolFillsMatchSerial checks that the persistent pool produces
-// exactly the masks of a serial fill, across repeated batches (pool reuse)
-// and uneven sequence positions (work stealing fodder).
-func TestWorkerPoolFillsMatchSerial(t *testing.T) {
-	e := testEnv(t)
-	spool := NewSessionPool(e.p, e.cache, e.tok, 0)
-	wp := NewWorkerPool(4)
-	defer wp.Close()
-
-	prefixes := []string{
-		``, `{`, `{"a": `, `[1, 2, `, `"str`, `{"a": {"b": {"c": `, `-1.5e`, `[[[[`,
-		`{"k": [1, {"x": "y"}, `, `tru`, `nul`, `{"a": 1, "b": 2, `, `[`, `"`, `{"zzz": "`, `[false`,
-	}
-	sessions := make([]*Session, len(prefixes))
-	for i, p := range prefixes {
-		sessions[i] = spool.Acquire()
-		if p != "" {
-			if err := sessions[i].AcceptString(p); err != nil {
-				t.Fatalf("prefix %q: %v", p, err)
-			}
-		}
-	}
-	for batch := 0; batch < 5; batch++ {
-		wp.FillSessions(sessions)
-		for i, s := range sessions {
-			want := referenceMask(e, prefixes[i])
-			if !bitset.FromWords(s.Mask(), e.tok.VocabSize()).Equal(want) {
-				t.Fatalf("batch %d: sequence %d (%q): pooled fill differs from serial", batch, i, prefixes[i])
-			}
-		}
-	}
-	st := wp.Stats()
-	if st.Batches != 5 || st.Items != int64(5*len(prefixes)) {
-		t.Fatalf("pool stats wrong: %+v", st)
-	}
-	for _, s := range sessions {
-		s.Close()
-	}
-}
-
-// TestWorkerPoolZeroWorkersAndClosed verifies the caller-participates
-// guarantee: a closed pool still completes every batch.
-func TestWorkerPoolZeroWorkersAndClosed(t *testing.T) {
-	wp := NewWorkerPool(2)
-	wp.Close()
-	var hits [97]int32
-	wp.Run(len(hits), func(i int) { hits[i]++ })
-	// A second Run after Close must also complete.
-	wp.Run(len(hits), func(i int) { hits[i]++ })
-	for i, h := range hits {
-		if h != 2 {
-			t.Fatalf("item %d executed %d times, want 2", i, h)
-		}
-	}
-}
-
-// TestWorkerPoolConcurrentBatches submits batches from many goroutines; every
-// item of every batch must run exactly once.
-func TestWorkerPoolConcurrentBatches(t *testing.T) {
-	wp := NewWorkerPool(3)
-	defer wp.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 20; round++ {
-				counts := make([]int32, 33)
-				wp.Run(len(counts), func(i int) { counts[i]++ })
-				for i, c := range counts {
-					if c != 1 {
-						t.Errorf("item %d ran %d times", i, c)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestRollbackAtomicOnError: a rollback deeper than the retained history
 // must leave the session untouched (in particular, a terminated session must
 // stay terminated with its cleared mask intact).

@@ -105,7 +105,7 @@ func (q *genSeq) inTag() bool {
 
 // batcher drives the continuous-batching decode loop: requests join the
 // live batch between rounds, every round fills the whole batch's masks
-// through the engine's worker pool while the simulated GPU step runs
+// on the batcher goroutine while the simulated GPU step runs
 // (Overlap, §3.5), samples one token per sequence from its mask, inserts
 // jump-forward continuations, and retires finished sequences.
 type batcher struct {

@@ -41,8 +41,8 @@ import (
 
 // Config configures a gateway.
 type Config struct {
-	// Engine is the serving engine (grammar compiler + session pools +
-	// batch-fill workers). Required.
+	// Engine is the serving engine (grammar compiler + session pools).
+	// Required.
 	Engine *xgrammar.Engine
 	// MaxInflight bounds concurrently decoding generations; requests beyond
 	// it receive 429. Zero or negative means 64.

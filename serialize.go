@@ -16,15 +16,10 @@ import (
 // serializeVersion guards the wire format. Version 2 added TokFingerprint;
 // version 3 renumbered the mask storage kinds to the popcount-selected
 // adaptive representations (AcceptList/RejectList/WordMask) and added a
-// per-mask AcceptCount integrity field. Version-2 blobs are still loaded
-// (the kinds are remapped and AcceptCount reconstructed); version-1 blobs
-// (which verified only the vocabulary size) are rejected with a recompile
-// hint.
+// per-mask AcceptCount integrity field. Blobs of any other version are
+// rejected with a recompile hint (a grammar store quarantines them and
+// recompiles).
 const serializeVersion = 3
-
-// loadableVersions maps accepted wire versions to whether their masks need
-// the v2->v3 storage-kind remap.
-var loadableVersions = map[int]bool{2: true, 3: false}
 
 // wireGrammar is the gob wire form of a CompiledGrammar. The grammar is
 // carried as EBNF text (re-parsed on load, cheap); the PDA and the adaptive
@@ -79,9 +74,8 @@ func (c *Compiler) LoadCompiledGrammar(r io.Reader) (*CompiledGrammar, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("xgrammar: load: %w", err)
 	}
-	needRemap, ok := loadableVersions[wire.Version]
-	if !ok {
-		return nil, fmt.Errorf("xgrammar: load: unsupported serialization version %d (this build reads versions 2-%d; blobs from older builds lack the tokenizer fingerprint — recompile the grammar and serialize again)",
+	if wire.Version != serializeVersion {
+		return nil, fmt.Errorf("xgrammar: load: unsupported serialization version %d (this build reads version %d — recompile the grammar and serialize again)",
 			wire.Version, serializeVersion)
 	}
 	if wire.VocabSize != c.info.VocabSize() {
@@ -97,13 +91,6 @@ func (c *Compiler) LoadCompiledGrammar(r io.Reader) (*CompiledGrammar, error) {
 		return nil, fmt.Errorf("xgrammar: load: embedded grammar: %w", err)
 	}
 	regular := int32(len(c.info.tok.SortedRegularIDs()))
-	if needRemap {
-		remapV2Masks(wire.Masks, regular)
-		// V2 stats counted kinds under the old numbering (0 was the dense
-		// "accept-heavy" form, 1 the sparse one) — swap to match the remap.
-		kc := &wire.CacheStats.KindCounts
-		kc[maskcache.AcceptList], kc[maskcache.RejectList] = kc[maskcache.RejectList], kc[maskcache.AcceptList]
-	}
 	if err := validateWire(&wire, len(g.Rules), regular, c.info.tok.SpecialIDs()); err != nil {
 		return nil, fmt.Errorf("xgrammar: load: %w", err)
 	}
@@ -117,33 +104,6 @@ func (c *Compiler) LoadCompiledGrammar(r io.Reader) (*CompiledGrammar, error) {
 		cg.cache = maskcache.FromParts(p, c.info.tok, maskcache.FromWire(wire.Masks), wire.CacheStats)
 	}
 	return cg, nil
-}
-
-// remapV2Masks converts version-2 masks in place to the version-3 storage
-// kinds. V2 kind 0 ("accept-heavy") stored the rejected ids — that is now
-// RejectList; v2 kind 1 ("reject-heavy") stored the accepted ids — now
-// AcceptList; kind 2 stored accepted words in both versions. V2 blobs carry
-// no AcceptCount, so it is reconstructed from the lists (validateWire then
-// checks it trivially, which is fine: the kinds were just derived from it).
-func remapV2Masks(masks []maskcache.WireMask, regular int32) {
-	for i := range masks {
-		m := &masks[i]
-		switch m.Kind {
-		case 0:
-			m.Kind = maskcache.RejectList
-			m.AcceptCount = regular - int32(len(m.Tokens)) - int32(len(m.Ctx))
-		case 1:
-			m.Kind = maskcache.AcceptList
-			m.AcceptCount = int32(len(m.Tokens))
-		case 2:
-			m.Kind = maskcache.WordMask
-			var c int32
-			for _, w := range m.Bits {
-				c += int32(bits.OnesCount64(w))
-			}
-			m.AcceptCount = c
-		}
-	}
 }
 
 // validateWire bounds-checks the decoded automaton and mask cache before

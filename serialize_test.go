@@ -3,6 +3,7 @@ package xgrammar
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -265,76 +266,21 @@ func rewire(t *testing.T, cg *CompiledGrammar, mutate func(*wireGrammar)) *bytes
 	return &out
 }
 
-// TestLoadVersion2Blob simulates a blob written by the previous build:
-// version 2, masks under the old storage-kind numbering (0 stored rejected
-// ids, 1 stored accepted ids), no AcceptCount field, stats counting kinds in
-// the old order. The load must remap everything and replay bit-identically.
-func TestLoadVersion2Blob(t *testing.T) {
-	info := testTokenizer(t)
-	cg, err := NewCompiler(info).CompileBuiltinJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := rewire(t, cg, func(w *wireGrammar) {
-		w.Version = 2
-		for i := range w.Masks {
-			m := &w.Masks[i]
-			m.AcceptCount = 0 // the field postdates version 2
-			switch m.Kind {
-			case maskcache.AcceptList:
-				m.Kind = 1 // v2 "reject-heavy" stored the accepted ids
-			case maskcache.RejectList:
-				m.Kind = 0 // v2 "accept-heavy" stored the rejected ids
-			}
-		}
-		kc := &w.CacheStats.KindCounts
-		kc[0], kc[1] = kc[1], kc[0]
-		w.CacheStats.CanonicalBytes = 0
-	})
-	loaded, err := NewCompiler(info).LoadCompiledGrammar(v2)
-	if err != nil {
-		t.Fatalf("version-2 blob rejected: %v", err)
-	}
-	os, ls := cg.Stats(), loaded.Stats()
-	if ls.AcceptListNodes != os.AcceptListNodes || ls.RejectListNodes != os.RejectListNodes || ls.WordMaskNodes != os.WordMaskNodes {
-		t.Fatalf("kind counts not remapped: loaded %+v, want %+v", ls, os)
-	}
-	mo, ml := NewMatcher(cg), NewMatcher(loaded)
-	maskO := make([]uint64, cg.MaskWords())
-	maskL := make([]uint64, loaded.MaskWords())
-	doc := `{"k": [false, -2.5e3, "s"]}`
-	for i := 0; i <= len(doc); i++ {
-		mo.FillNextTokenBitmask(maskO)
-		ml.FillNextTokenBitmask(maskL)
-		for w := range maskO {
-			if maskO[w] != maskL[w] {
-				t.Fatalf("v2-loaded mask differs at pos %d", i)
-			}
-		}
-		if i < len(doc) {
-			if err := mo.AcceptString(doc[i : i+1]); err != nil {
-				t.Fatal(err)
-			}
-			if err := ml.AcceptString(doc[i : i+1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
 func TestLoadRejectsOldVersion(t *testing.T) {
 	info := testTokenizer(t)
 	cg, err := NewCompiler(info).CompileBuiltinJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := rewire(t, cg, func(w *wireGrammar) { w.Version = 1 })
-	_, err = NewCompiler(info).LoadCompiledGrammar(old)
-	if err == nil {
-		t.Fatal("version-1 blob loaded")
-	}
-	if !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("error does not identify the old version: %v", err)
+	for _, v := range []int{1, 2} {
+		old := rewire(t, cg, func(w *wireGrammar) { w.Version = v })
+		_, err = NewCompiler(info).LoadCompiledGrammar(old)
+		if err == nil {
+			t.Fatalf("version-%d blob loaded", v)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("error does not identify the old version %d: %v", v, err)
+		}
 	}
 }
 

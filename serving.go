@@ -16,13 +16,13 @@ import (
 // Engine is the continuous-batching serving runtime (§3.5): it resolves
 // grammars through the compiler's compiled-grammar cache, hands out pooled
 // Sessions whose steady-state decode step allocates nothing, and fills whole
-// batches of masks through a persistent work-stealing worker pool.
+// batches of masks on the calling goroutine.
 //
 // Typical serving loop (one Session per live sequence; sequences join and
 // leave the batch between steps). Masks are computed once per token: in the
 // batch loop, Accept advances a sequence without filling, and the next
-// round's FillBatch computes every stale mask in parallel while the GPU
-// forward pass runs:
+// round's FillBatch computes every stale mask while the GPU forward pass
+// runs:
 //
 //	eng := xgrammar.NewEngine(compiler)
 //	s, err := eng.OpenGrammarSession(src) // compiled-grammar cache hit after the first request
@@ -37,8 +37,6 @@ import (
 //	}
 type Engine struct {
 	compiler *Compiler
-	pool     *serve.WorkerPool
-	ownPool  bool
 	// fills counts mask fills that did grammar work; fastFills the subset
 	// served by the canonical-mask memcpy fast path. Idempotent no-op Fill
 	// calls (mask already current) are not counted.
@@ -59,23 +57,16 @@ type Engine struct {
 type EngineOption func(*engineConfig)
 
 type engineConfig struct {
-	workers        int
 	prefixBudget   int64
 	prefixMinDepth int
 	prefixStride   int
 }
 
-// WithFillWorkers gives the engine a dedicated batch-fill worker pool with n
-// persistent workers (n <= 0 means one per CPU) instead of the process-wide
-// shared pool. Close releases a dedicated pool's workers.
-func WithFillWorkers(n int) EngineOption {
-	return func(c *engineConfig) {
-		c.workers = n
-		if n <= 0 {
-			c.workers = -1
-		}
-	}
-}
+// Deprecated: has no effect; batch fills run on the calling goroutine.
+// WithFillWorkers is kept only because the frozen benchmark harness in bench/
+// calls it; the next change to the benchmark removes that call, and then
+// this option.
+func WithFillWorkers(n int) EngineOption { return func(*engineConfig) {} }
 
 // WithPrefixCache enables the cross-request constraint-state prefix cache:
 // AcquireSession warm-starts sessions from cached matcher checkpoints keyed
@@ -101,16 +92,6 @@ func NewEngine(compiler *Compiler, opts ...EngineOption) *Engine {
 		o(&cfg)
 	}
 	e := &Engine{compiler: compiler}
-	if cfg.workers != 0 {
-		n := cfg.workers
-		if n < 0 {
-			n = 0
-		}
-		e.pool = serve.NewWorkerPool(n)
-		e.ownPool = true
-	} else {
-		e.pool = serve.DefaultPool()
-	}
 	if cfg.prefixBudget > 0 {
 		e.prefixCache = prefixcache.New(cfg.prefixBudget)
 		e.prefixMinDepth = cfg.prefixMinDepth
@@ -124,13 +105,10 @@ func NewEngine(compiler *Compiler, opts ...EngineOption) *Engine {
 // Compiler returns the engine's grammar compiler.
 func (e *Engine) Compiler() *Compiler { return e.compiler }
 
-// Close stops the engine's dedicated worker pool, if it has one. Sessions
-// already open remain usable (fills fall back to the closing goroutine).
-func (e *Engine) Close() {
-	if e.ownPool {
-		e.pool.Close()
-	}
-}
+// Close releases nothing: the engine starts no goroutines and holds no
+// resources beyond memory. It is kept so callers can treat the engine as a
+// closable runtime; open sessions remain usable afterwards.
+func (e *Engine) Close() {}
 
 // OpenSession starts a generation against an already compiled grammar,
 // recycling the grammar state (matcher, fill scratch, mask buffer) of a
@@ -278,9 +256,9 @@ func (e *Engine) OpenStructuralTagSession(tags StructuralTags) (*Session, error)
 	return e.OpenTagSession(ts), nil
 }
 
-// FillBatch brings every session's mask up to date for one decode step
-// through the engine's persistent worker pool, intended to run while the
-// GPU forward pass executes (§3.5). Sessions may be attached to different
+// FillBatch brings every session's mask up to date for one decode step on
+// the calling goroutine, intended to run while the GPU forward pass
+// executes (§3.5). Sessions may be attached to different
 // grammars. Sessions whose mask is already current (the fused Step computed
 // it) are skipped, so the grammar work runs exactly once per token however
 // Step, Accept, and FillBatch are combined.
@@ -291,13 +269,16 @@ func (e *Engine) FillBatch(sessions []*Session) []maskcache.FillStats {
 // FillBatchInto is FillBatch reusing the caller's stats buffer (grown as
 // needed; nil allocates) — for decode loops that run every round and want
 // the steady state allocation-free.
+//
+//xg:hotpath
 func (e *Engine) FillBatchInto(stats []maskcache.FillStats, sessions []*Session) []maskcache.FillStats {
 	if cap(stats) < len(sessions) {
+		//xg:allow hotpathalloc: grows the caller's buffer once
 		stats = make([]maskcache.FillStats, len(sessions))
 	}
 	stats = stats[:len(sessions)]
-	e.pool.Run(len(sessions), func(i int) {
-		st, computed := sessions[i].s.FillTracked()
+	for i, s := range sessions {
+		st, computed := s.s.FillTracked()
 		stats[i] = st
 		if computed {
 			e.fills.Add(1)
@@ -305,7 +286,7 @@ func (e *Engine) FillBatchInto(stats []maskcache.FillStats, sessions []*Session)
 				e.fastFills.Add(1)
 			}
 		}
-	})
+	}
 	return stats
 }
 
@@ -344,7 +325,7 @@ type sessionState interface {
 // lower-level Matcher, a Session owns its mask buffer, fuses the per-token
 // work into Step, and returns its grammar state to the engine's pool on
 // Close. Sessions are not safe for concurrent use; drive each from one
-// goroutine (FillBatch coordinates batch fills internally).
+// goroutine at a time.
 type Session struct {
 	e *Engine
 	// cg is the grammar of a plain session; tags the tag set of a
@@ -363,7 +344,7 @@ func (s *Session) Step(id int32) (StepResult, error) { return s.s.Step(id) }
 
 // Accept advances the session by the sampled token without recomputing the
 // mask — the batch-serving path where the next round's FillBatch fills every
-// stale mask in parallel under the GPU step. Accepting the stop token
+// stale mask under the GPU step. Accepting the stop token
 // terminates the session.
 func (s *Session) Accept(id int32) error { return s.s.Accept(id) }
 

@@ -1,8 +1,10 @@
 package xgrammar
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // matcherMask fills a fresh slice from a Matcher.
@@ -129,11 +131,11 @@ func TestEngineSessionReuseMatchesFreshMatcher(t *testing.T) {
 
 // TestEngineMixedGrammarBatch opens sessions against two different grammars
 // (both resolved through the compiled-grammar cache) and batch-fills them
-// together through the engine's worker pool.
+// together in one FillBatch call.
 func TestEngineMixedGrammarBatch(t *testing.T) {
 	info := testTokenizer(t)
 	compiler := NewCompiler(info)
-	eng := NewEngine(compiler, WithFillWorkers(2))
+	eng := NewEngine(compiler)
 	defer eng.Close()
 
 	jsonSess, err := eng.OpenGrammarSession(`root ::= "[" [0-9]+ "]"`)
@@ -200,5 +202,81 @@ func TestEngineMixedGrammarBatch(t *testing.T) {
 	again.Close()
 	if st := compiler.CompileCacheStats(); st.Builds != 3 || st.Hits == 0 {
 		t.Fatalf("repeat open was not a cache hit: %+v", st)
+	}
+}
+
+// TestFillBatchIntoNoAllocs holds the batch round's resource contract: once
+// the caller's stats buffer is warm, a FillBatchInto round that recomputes
+// every mask performs no heap allocation, and the engine leaves no
+// goroutine behind after Close.
+func TestFillBatchIntoNoAllocs(t *testing.T) {
+	info := testTokenizer(t)
+	compiler := NewCompiler(info)
+	digits, err := compiler.CompileGrammar(`root ::= "[" [0-9]+ "]"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtin, err := compiler.CompileBuiltinJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := runtime.NumGoroutine()
+	eng := NewEngine(compiler)
+
+	// Each session gets a token that is legal at its (fixed) position, so a
+	// round can advance by it and roll it back, leaving the mask stale.
+	sessions := make([]*Session, 8)
+	ids := make([]int32, len(sessions))
+	for i := range sessions {
+		cg := digits
+		if i%2 == 1 {
+			cg = builtin
+		}
+		sessions[i] = eng.OpenSession(cg)
+		ids[i] = -1
+		for id := int32(0); id < int32(info.VocabSize()); id++ {
+			if id != info.EOSTokenID() && sessions[i].Mask()[id>>6]&(1<<uint(id&63)) != 0 {
+				ids[i] = id
+				break
+			}
+		}
+		if ids[i] < 0 {
+			t.Fatalf("session %d: no legal token at the start state", i)
+		}
+	}
+	stats := eng.FillBatchInto(nil, sessions)
+	fills0, _ := eng.FillCounters()
+
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i, s := range sessions {
+			if err := s.Accept(ids[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Rollback(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stats = eng.FillBatchInto(stats, sessions)
+	})
+	if allocs != 0 {
+		t.Errorf("FillBatchInto round allocated %.2f allocs/op, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call before the measured runs.
+	if fills, _ := eng.FillCounters(); fills-fills0 != int64((runs+1)*len(sessions)) {
+		t.Errorf("%d fills computed over %d rounds of %d sessions", fills-fills0, runs+1, len(sessions))
+	}
+
+	for _, s := range sessions {
+		s.Close()
+	}
+	eng.Close()
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > start; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > start {
+		t.Errorf("%d goroutines after Engine.Close, %d before NewEngine", n, start)
 	}
 }

@@ -756,34 +756,6 @@ func (m *Matcher) Reset() {
 	m.terminated = false
 }
 
-// FillNextTokenBitmaskBatch fills masks[i] from matchers[i] for a whole
-// decoding batch through the process-wide persistent worker pool (work
-// stealing across sequences, no per-call goroutine spawn) — the
-// serving-scenario path where one decode step needs a mask per sequence
-// while the GPU forward pass runs (§3.5). Mismatched slice lengths or an
-// undersized mask return an error; stats for sequences filled before the
-// error are still populated.
-//
-// Each matcher must be independent (created by NewMatcher): matchers related
-// by Branch share a stack tree and must not appear in the same batch. A
-// matcher must appear at most once.
-func FillNextTokenBitmaskBatch(matchers []*Matcher, masks [][]uint64) ([]maskcache.FillStats, error) {
-	if len(matchers) != len(masks) {
-		return nil, fmt.Errorf("xgrammar: batch fill: %d matchers but %d masks", len(matchers), len(masks))
-	}
-	stats := make([]maskcache.FillStats, len(matchers))
-	errs := make([]error, len(matchers))
-	serve.DefaultPool().Run(len(matchers), func(i int) {
-		stats[i], errs[i] = matchers[i].FillNextTokenBitmask(masks[i])
-	})
-	for i, err := range errs {
-		if err != nil {
-			return stats, fmt.Errorf("xgrammar: batch fill: sequence %d: %w", i, err)
-		}
-	}
-	return stats, nil
-}
-
 // ApplyTokenBitmaskInPlace sets logits of masked-out tokens to -Inf, the
 // constrained-decoding step from Figure 2.
 func ApplyTokenBitmaskInPlace(logits []float32, mask []uint64) {
