@@ -1,26 +1,21 @@
 package baselines
 
 import (
-	"fmt"
-
 	"xgrammar/internal/bitset"
 	"xgrammar/internal/maskcache"
-	"xgrammar/internal/matcher"
 	"xgrammar/internal/pda"
+	"xgrammar/internal/serve"
 	"xgrammar/internal/tokenizer"
 )
 
 // XGBackend adapts the XGrammar engine (PDA + adaptive token mask cache) to
 // the Backend interface so experiments can swap it against the baselines.
-// A nil cache degrades to the full-scan path (used by the Table 3 ablation).
+// Its sessions are the serving runtime's grammar sessions (serve.Session),
+// so the comparison measures the engine that serves. A nil cache degrades
+// to the prefix-sharing full-scan path (used by the Table 3 ablation).
 type XGBackend struct {
-	p     *pda.PDA
-	cache *maskcache.Cache
-	tok   *tokenizer.Tokenizer
-	// SharePrefixScan controls the no-cache fallback's use of the
-	// persistent-stack prefix sharing.
-	SharePrefixScan bool
-	label           string
+	pool  *serve.SessionPool
+	label string
 }
 
 // NewXGBackend wraps a compiled grammar. cache may be nil.
@@ -28,88 +23,22 @@ func NewXGBackend(p *pda.PDA, cache *maskcache.Cache, tok *tokenizer.Tokenizer, 
 	if label == "" {
 		label = "xgrammar"
 	}
-	return &XGBackend{p: p, cache: cache, tok: tok, SharePrefixScan: true, label: label}
+	return &XGBackend{pool: serve.NewSessionPool(p, cache, tok, 0), label: label}
 }
 
 // Name implements Backend.
 func (x *XGBackend) Name() string { return x.label }
 
-// NewSession implements Backend.
-func (x *XGBackend) NewSession() Session {
-	exec := matcher.NewExec(x.p)
-	return &xgSession{
-		x:    x,
-		exec: exec,
-		m:    matcher.New(exec, 0),
-		fc:   maskcache.NewFillContext(x.tok.VocabSize()),
-	}
-}
+// NewSession implements Backend. The session also supports jump-forward
+// (JumpForwarder), Rollback, Fork and Discard. CanTerminate is false once
+// the stop token has been accepted.
+func (x *XGBackend) NewSession() Session { return xgSession{x.pool.Acquire()} }
 
-type xgSession struct {
-	x          *XGBackend
-	exec       *matcher.Exec
-	m          *matcher.Matcher
-	fc         *maskcache.FillContext
-	terminated bool
-}
+// xgSession adapts serve.Session to Session, whose FillMask reports no
+// statistics.
+type xgSession struct{ *serve.Session }
 
-func (s *xgSession) FillMask(mask *bitset.Bitset) {
-	if s.terminated {
-		mask.ClearAll()
-		return
-	}
-	canTerm := s.m.CanTerminate()
-	if s.x.cache != nil {
-		s.x.cache.FillMask(s.exec, s.m.States(), mask, canTerm, s.fc)
-	} else {
-		maskcache.FullScanMask(s.exec, s.x.tok, s.m.States(), mask, canTerm, s.x.SharePrefixScan)
-	}
-	finishMask(mask, s.x.tok, canTerm)
-}
-
-func (s *xgSession) CanTerminate() bool { return !s.terminated && s.m.CanTerminate() }
-
-func (s *xgSession) IsTerminated() bool { return s.terminated }
-
-func (s *xgSession) Accept(id int32) error {
-	if s.terminated {
-		return fmt.Errorf("%s: already terminated", s.x.label)
-	}
-	if id == tokenizer.EosID {
-		if !s.m.CanTerminate() {
-			return fmt.Errorf("%s: premature EOS", s.x.label)
-		}
-		s.terminated = true
-		return nil
-	}
-	if s.x.tok.IsSpecial(id) {
-		return fmt.Errorf("%s: special token %d", s.x.label, id)
-	}
-	if !s.m.Advance(s.x.tok.TokenBytes(id)) {
-		return fmt.Errorf("%s: token %d violates grammar", s.x.label, id)
-	}
-	return nil
-}
-
-// JumpForward exposes the deterministic continuation for engines that
-// support it (only XGrammar does).
-func (s *xgSession) JumpForward() string {
-	if s.terminated {
-		return ""
-	}
-	return s.m.JumpForward()
-}
-
-// AcceptString advances the session by raw bytes (jump-forward insertion).
-func (s *xgSession) AcceptString(text string) error {
-	if s.terminated {
-		return fmt.Errorf("%s: already terminated", s.x.label)
-	}
-	if !s.m.Advance([]byte(text)) {
-		return fmt.Errorf("%s: string %q violates grammar", s.x.label, text)
-	}
-	return nil
-}
+func (s xgSession) FillMask(mask *bitset.Bitset) { s.Session.FillMask(mask) }
 
 // JumpForwarder is implemented by sessions that support jump-forward
 // decoding (Appendix B).

@@ -53,16 +53,21 @@ func (sp *SessionPool) Acquire() *Session {
 	}
 	sp.created.Add(1)
 	exec := matcher.NewExec(sp.p)
-	words := bitset.WordsFor(sp.tok.VocabSize())
+	return sp.newSession(exec, matcher.New(exec, sp.maxHistory))
+}
+
+// newSession wraps a matcher in fresh fill scratch and mask buffer.
+func (sp *SessionPool) newSession(exec *matcher.Exec, m *matcher.Matcher) *Session {
+	vocab := sp.tok.VocabSize()
 	s := &Session{
 		sp:    sp,
 		exec:  exec,
-		m:     matcher.New(exec, sp.maxHistory),
-		fc:    maskcache.NewFillContext(sp.tok.VocabSize()),
-		mask:  make([]uint64, words),
+		m:     m,
+		fc:    maskcache.NewFillContext(vocab),
+		mask:  make([]uint64, bitset.WordsFor(vocab)),
 		dirty: true,
 	}
-	s.bs = bitset.FromWords(s.mask, sp.tok.VocabSize())
+	s.bs = bitset.FromWords(s.mask, vocab)
 	return s
 }
 
@@ -73,12 +78,7 @@ func (sp *SessionPool) Acquire() *Session {
 // not be used afterwards.
 func (sp *SessionPool) Release(s *Session) {
 	s.publishPending()
-	s.base = s.base[:0]
-	s.baseSteps = 0
-	s.m.Reset()
-	s.terminated = false
-	s.dirty = true
-	s.lastStats = maskcache.FillStats{}
+	s.Reset()
 	sp.released.Add(1)
 	sp.pool.Put(s)
 }
@@ -201,8 +201,9 @@ func (s *Session) FillTracked() (stats maskcache.FillStats, computed bool) {
 // output inside the grammar. Valid until the next Step/Fill call.
 func (s *Session) Mask() []uint64 { return s.mask }
 
-// FillMask fills the allowed-token mask into a caller-provided bitset.
-func (s *Session) FillMask(mask *bitset.Bitset) { s.fillInto(mask) }
+// FillMask fills the allowed-token mask into a caller-provided bitset and
+// returns the fill instrumentation. It leaves the session's own Mask as is.
+func (s *Session) FillMask(mask *bitset.Bitset) maskcache.FillStats { return s.fillInto(mask) }
 
 func (s *Session) fillInto(mask *bitset.Bitset) maskcache.FillStats {
 	if s.terminated {
@@ -329,11 +330,44 @@ func (s *Session) HistoryCap() int { return s.m.MaxHistory() }
 // HistoryLen returns the number of steps currently available for rollback.
 func (s *Session) HistoryLen() int { return s.m.HistoryLen() }
 
-// CanTerminate reports whether the grammar permits stopping here.
+// CanTerminate reports whether the stop token may be accepted next: the
+// grammar permits stopping here and the stop token has not been accepted
+// yet. It is false from the stop token on, until a Rollback undoes it.
 func (s *Session) CanTerminate() bool { return !s.terminated && s.m.CanTerminate() }
 
 // IsTerminated reports whether the stop token has been accepted.
 func (s *Session) IsTerminated() bool { return s.terminated }
+
+// NumStacks returns the number of live PDA stacks (a measure of grammar
+// ambiguity at this point).
+func (s *Session) NumStacks() int { return s.m.NumStacks() }
+
+// Reset returns the session to the grammar start state with an empty
+// rollback history and a stale mask.
+func (s *Session) Reset() {
+	s.base = s.base[:0]
+	s.baseSteps = 0
+	s.m.Reset()
+	s.terminated = false
+	s.dirty = true
+	s.lastStats = maskcache.FillStats{}
+}
+
+// Fork returns an unpooled session at the same grammar position, sharing
+// the persistent stacks (§3.3) in O(current states). The fork starts with
+// an empty rollback history and must be driven from the same goroutine as
+// its origin, since both share the executor. End it with Discard, never
+// Close: it was not acquired from the pool.
+func (s *Session) Fork() *Session {
+	f := s.sp.newSession(s.exec, s.m.Fork())
+	f.terminated = s.terminated
+	return f
+}
+
+// Discard frees the session's stack references so the shared stack tree
+// can reclaim them — the end of a Fork. The session must not be used
+// afterwards.
+func (s *Session) Discard() { s.m.Release() }
 
 // Close releases the session back to its pool. The session must not be used
 // afterwards.

@@ -211,3 +211,24 @@ func BenchmarkTrain8k(b *testing.B) {
 		Train(c, 8192)
 	}
 }
+
+// TestDefaultFingerprintPinned fixes the default tokenizer's vocabulary at
+// every size the repository trains (tests, quick mode, the benchmark):
+// a change to the training corpus or the BPE trainer moves these values and
+// with them every cached mask, stored grammar blob and recorded figure.
+func TestDefaultFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		size int
+		want uint64
+	}{
+		{600, 0x3522278e3f76b8d1},
+		{2000, 0x818012c14235ab25},
+		{4000, 0xdb17fbdafa3a3191},
+		{8000, 0x4d16c22d37f16ea2},
+		{32000, 0x5edb0b0237f8f131},
+	} {
+		if got := BuildDefault(c.size).Fingerprint(); got != c.want {
+			t.Errorf("BuildDefault(%d).Fingerprint() = %016x, want %016x", c.size, got, c.want)
+		}
+	}
+}

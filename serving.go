@@ -321,11 +321,11 @@ type sessionState interface {
 	Close()
 }
 
-// Session tracks one generation inside a serving Engine. Unlike the
-// lower-level Matcher, a Session owns its mask buffer, fuses the per-token
-// work into Step, and returns its grammar state to the engine's pool on
-// Close. Sessions are not safe for concurrent use; drive each from one
-// goroutine at a time.
+// Session tracks one generation inside a serving Engine. Matcher is an
+// unpooled view of the same grammar session; a Session additionally
+// exposes its mask buffer, fuses the per-token work into Step, and returns
+// its grammar state to the engine's pool on Close. Sessions are not safe
+// for concurrent use; drive each from one goroutine at a time.
 type Session struct {
 	e *Engine
 	// cg is the grammar of a plain session; tags the tag set of a
@@ -420,7 +420,9 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	return ps.Checkpoint(), nil
 }
 
-// CanTerminate reports whether the grammar permits stopping here.
+// CanTerminate reports whether the stop token may be accepted next: the
+// grammar permits stopping here and the stop token has not been accepted
+// yet. It is false from the stop token on, until a Rollback undoes it.
 func (s *Session) CanTerminate() bool { return s.s.CanTerminate() }
 
 // IsTerminated reports whether the stop token has been accepted.

@@ -29,11 +29,14 @@ func masksEqual(a, b []uint64) bool {
 	return true
 }
 
-// TestEngineSessionReuseMatchesFreshMatcher is the session-reuse correctness
-// satellite: a pooled session that was released and re-acquired must behave
-// identically to a fresh NewMatcher — same masks at every step, same
+// TestEngineSessionReuseMatchesFreshMatcher checks pooled reuse: a session
+// that was released and re-acquired must behave identically to a fresh
+// unpooled session (NewMatcher) — same masks at every step, same
 // termination behavior, and identical state after a jump-forward insertion
-// is rolled back.
+// is rolled back. Both run the same session code, so this guards the
+// pool's reset, not the engine; the independent references are
+// TestMaskMatchesFullScan, TestCrossValidationMasks and
+// TestBuiltinJSONMatchesEncodingJSON.
 func TestEngineSessionReuseMatchesFreshMatcher(t *testing.T) {
 	info := testTokenizer(t)
 	compiler := NewCompiler(info)

@@ -617,25 +617,20 @@ func (cg *CompiledGrammar) Stats() CacheStats {
 	return cs
 }
 
-// Matcher tracks one generation against a compiled grammar. It is not safe
+// Matcher tracks one generation against a compiled grammar. It is an
+// unpooled view of the same per-sequence session the serving Engine drives
+// (serve.Session): accept, stop-token, rollback and fill behave exactly as
+// Session's, but the Matcher never enters the grammar's session pool, so it
+// does not show in SessionsOutstanding or SessionPoolStats. It is not safe
 // for concurrent use; create one per sequence.
 type Matcher struct {
-	cg         *CompiledGrammar
-	exec       *matcher.Exec
-	m          *matcher.Matcher
-	fc         *maskcache.FillContext
-	terminated bool
+	cg *CompiledGrammar
+	s  *serve.Session
 }
 
 // NewMatcher returns a matcher at the grammar start state.
 func NewMatcher(cg *CompiledGrammar) *Matcher {
-	exec := matcher.NewExec(cg.pda)
-	return &Matcher{
-		cg:   cg,
-		exec: exec,
-		m:    matcher.New(exec, cg.cfg.maxHistory),
-		fc:   maskcache.NewFillContext(cg.info.VocabSize()),
-	}
+	return &Matcher{cg: cg, s: serve.NewSessionPool(cg.pda, cg.cache, cg.info.tok, cg.cfg.maxHistory).Acquire()}
 }
 
 // FillNextTokenBitmask writes the allowed-token bitmask for the next
@@ -649,112 +644,53 @@ func (m *Matcher) FillNextTokenBitmask(mask []uint64) (maskcache.FillStats, erro
 		return maskcache.FillStats{}, fmt.Errorf(
 			"xgrammar: mask has %d words but the grammar needs MaskWords() = %d", len(mask), words)
 	}
-	bs := bitset.FromWords(mask[:words], m.cg.info.VocabSize())
-	if m.terminated {
-		bs.ClearAll()
-		return maskcache.FillStats{}, nil
-	}
-	if m.cg.cache != nil {
-		return m.cg.cache.FillMask(m.exec, m.m.States(), bs, m.m.CanTerminate(), m.fc), nil
-	}
-	maskcache.FullScanMask(m.exec, m.cg.info.tok, m.m.States(), bs, m.m.CanTerminate(), true)
-	return maskcache.FillStats{}, nil
+	return m.s.FillMask(bitset.FromWords(mask[:words], m.cg.info.VocabSize())), nil
 }
 
 // AcceptToken advances the matcher by one generated token. Accepting the
 // stop token terminates the generation (only legal when the grammar can
 // complete). Each accepted token is a rollback checkpoint.
-func (m *Matcher) AcceptToken(id int32) error {
-	if m.terminated {
-		return fmt.Errorf("xgrammar: matcher already terminated")
-	}
-	if id == tokenizer.EosID {
-		if !m.m.CanTerminate() {
-			return fmt.Errorf("xgrammar: stop token before grammar completion")
-		}
-		m.terminated = true
-		return nil
-	}
-	if m.cg.info.tok.IsSpecial(id) {
-		return fmt.Errorf("xgrammar: special token %d not allowed", id)
-	}
-	if !m.m.Advance(m.cg.info.tok.TokenBytes(id)) {
-		return fmt.Errorf("xgrammar: token %d (%q) violates grammar", id, m.cg.info.tok.TokenBytes(id))
-	}
-	return nil
-}
+func (m *Matcher) AcceptToken(id int32) error { return m.s.Accept(id) }
 
 // AcceptString advances the matcher by raw bytes (one checkpoint), used for
 // jump-forward insertion and prompt priming.
-func (m *Matcher) AcceptString(s string) error {
-	if m.terminated {
-		return fmt.Errorf("xgrammar: matcher already terminated")
-	}
-	if !m.m.Advance([]byte(s)) {
-		return fmt.Errorf("xgrammar: string %q violates grammar", s)
-	}
-	return nil
-}
+func (m *Matcher) AcceptString(s string) error { return m.s.AcceptString(s) }
 
-// Rollback undoes the last n AcceptToken/AcceptString calls. It is atomic:
-// on error (n exceeds the retained history) the matcher is unchanged.
-func (m *Matcher) Rollback(n int) error {
-	steps := n
-	if m.terminated && steps > 0 {
-		steps-- // undoing the terminating EOS costs no matcher step
-	}
-	if err := m.m.Rollback(steps); err != nil {
-		return err
-	}
-	if m.terminated && n > 0 {
-		m.terminated = false
-	}
-	return nil
-}
+// Rollback undoes the last n AcceptToken/AcceptString calls, the stop token
+// included. It is atomic: on error (n exceeds the retained history) the
+// matcher is unchanged.
+func (m *Matcher) Rollback(n int) error { return m.s.Rollback(n) }
 
 // IsTerminated reports whether the stop token has been accepted.
-func (m *Matcher) IsTerminated() bool { return m.terminated }
+func (m *Matcher) IsTerminated() bool { return m.s.IsTerminated() }
 
-// CanTerminate reports whether the grammar permits stopping here.
-func (m *Matcher) CanTerminate() bool { return m.m.CanTerminate() }
+// CanTerminate reports whether the stop token may be accepted next: the
+// grammar permits stopping here and the stop token has not been accepted
+// yet. It is false from the stop token on, until a Rollback undoes it.
+func (m *Matcher) CanTerminate() bool { return m.s.CanTerminate() }
 
 // FindJumpForwardString returns the longest deterministic continuation of
 // the current state (Appendix B), or "" when the next byte is ambiguous.
-func (m *Matcher) FindJumpForwardString() string {
-	if m.terminated {
-		return ""
-	}
-	return m.m.JumpForward()
-}
+func (m *Matcher) FindJumpForwardString() string { return m.s.JumpForward() }
 
 // NumParallelStacks returns the number of live PDA stacks (a measure of
 // grammar ambiguity at this point).
-func (m *Matcher) NumParallelStacks() int { return m.m.NumStacks() }
+func (m *Matcher) NumParallelStacks() int { return m.s.NumStacks() }
 
 // Branch forks the matcher at its current position in O(current states):
 // the persistent execution stack (§3.3) lets output branches — speculative
 // drafts, Tree-of-Thought paths, beam candidates — share all deeper stack
-// segments. Branches share internal structures and must be driven from one
-// goroutine; call Discard on branches you abandon.
-func (m *Matcher) Branch() *Matcher {
-	return &Matcher{
-		cg:         m.cg,
-		exec:       m.exec,
-		m:          m.m.Fork(),
-		fc:         maskcache.NewFillContext(m.cg.info.VocabSize()),
-		terminated: m.terminated,
-	}
-}
+// segments. A branch starts with an empty rollback history. Branches share
+// internal structures and must be driven from one goroutine; call Discard
+// on branches you abandon.
+func (m *Matcher) Branch() *Matcher { return &Matcher{cg: m.cg, s: m.s.Fork()} }
 
 // Discard releases a branch's state so the shared stack tree can reclaim
 // memory. The matcher must not be used afterwards.
-func (m *Matcher) Discard() { m.m.Release() }
+func (m *Matcher) Discard() { m.s.Discard() }
 
 // Reset returns the matcher to the grammar start state.
-func (m *Matcher) Reset() {
-	m.m.Reset()
-	m.terminated = false
-}
+func (m *Matcher) Reset() { m.s.Reset() }
 
 // ApplyTokenBitmaskInPlace sets logits of masked-out tokens to -Inf, the
 // constrained-decoding step from Figure 2.
